@@ -41,7 +41,7 @@ fn queue(pet: &PetMatrix, q: usize) -> QueueView<'_> {
 
 fn bench_policies(c: &mut Criterion) {
     let pet = pet();
-    let ctx = DropContext { compaction: Compaction::MaxImpulses(64), pressure: 1.0, approx: None };
+    let ctx = DropContext::new(Compaction::MaxImpulses(64), 1.0, None);
     // Persistent context, as the engine drives policies in production.
     let mut scratch = PolicyCtx::new();
     let mut group = c.benchmark_group("drop_decision");

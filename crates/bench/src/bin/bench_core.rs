@@ -89,15 +89,18 @@ struct DropDecisionReport {
     mean_us: f64,
 }
 
-/// Deterministic PET×tail cache work counters (`SimCore::cache_stats`):
-/// they must reproduce exactly at the fixed seed, so CI fails on any
-/// drift vs the committed quick baseline.
+/// Deterministic PET×tail cache and verdict-memo work counters
+/// (`SimCore::cache_stats`): they must reproduce exactly at the fixed
+/// seed, so CI fails on any drift vs the committed quick baseline.
+/// `verdict_hits` counts the drop-policy calls the engine skipped, so
+/// `drop_decision.calls + verdict_hits` is the number of queues priced.
 #[derive(Debug, Serialize)]
 struct WorkReport {
     tail_cache_hits: u64,
     tail_cache_misses: u64,
     conv_cache_hits: u64,
     conv_cache_misses: u64,
+    verdict_hits: u64,
 }
 
 fn main() {
@@ -162,6 +165,7 @@ fn main() {
             tail_cache_misses: cache.tail_misses,
             conv_cache_hits: cache.conv_hits,
             conv_cache_misses: cache.conv_misses,
+            verdict_hits: cache.verdict_hits,
         },
     };
 
@@ -180,11 +184,12 @@ fn main() {
         calls, report.drop_decision.total_ms, report.drop_decision.mean_us, report.robustness_pct
     );
     println!(
-        "cache: tail {}/{} hits, conv {}/{} hits",
+        "cache: tail {}/{} hits, conv {}/{} hits, {} no-drop verdicts reused",
         cache.tail_hits,
         cache.tail_hits + cache.tail_misses,
         cache.conv_hits,
-        cache.conv_hits + cache.conv_misses
+        cache.conv_hits + cache.conv_misses,
+        cache.verdict_hits
     );
     println!("wrote {out}");
 }

@@ -109,7 +109,7 @@ impl DropPolicy for ApproxDropper {
             if u_drop <= self.beta * u_keep + f64::EPSILON {
                 // Eq 8 keeps the task at full fidelity; never degrade work
                 // that is worth running as-is.
-                prev = baseline.links()[i].completion.clone();
+                prev.clone_from(&baseline.links()[i].completion);
                 continue;
             }
 
@@ -164,7 +164,7 @@ mod tests {
     use taskdrop_pmf::Compaction;
 
     fn ctx_with(approx: Option<ApproxSpec>) -> DropContext {
-        DropContext { compaction: Compaction::None, pressure: 0.0, approx }
+        DropContext::new(Compaction::None, 0.0, approx)
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl DropPolicy for ProactiveDropper {
                 // never read again).
                 baseline.rewind(&prev, i + 1);
             } else {
-                prev = baseline.links()[i].completion.clone();
+                prev.clone_from(&baseline.links()[i].completion);
             }
         }
         DropDecision::drops(drops)

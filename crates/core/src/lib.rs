@@ -90,6 +90,16 @@ impl DropDecision {
 /// context — the differential suite in
 /// `crates/model/tests/evaluator_equivalence.rs` pins persistent-context
 /// decisions bit-identical to fresh-context ones.
+///
+/// **Purity contract.** A decision depends on the queue view only through
+/// [`QueueView::base`], the pending list and the PET matrices — never on
+/// `now` or on task or machine ids — and on the [`DropContext`] only
+/// through its compaction, its approximate-computing parameters and, if
+/// the policy calls [`DropContext::pressure`], the pressure. The engine
+/// relies on this to skip a queue whose last verdict dropped nothing while
+/// those inputs are unchanged (the verdict memo, DESIGN.md §13); debug
+/// builds re-run the policy on every skip and assert the verdict is still
+/// empty.
 pub trait DropPolicy: Send + Sync {
     /// Stable identifier used in reports and configs (e.g. `"Heuristic"`).
     fn name(&self) -> &'static str;

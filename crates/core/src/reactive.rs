@@ -39,7 +39,7 @@ mod tests {
         let pet = pet();
         // Even a hopeless queue yields no proactive drops.
         let q = idle_queue(&pet, 0, vec![pending(1, 1, 12), pending(2, 0, 15)]);
-        let ctx = DropContext { compaction: Compaction::None, pressure: 10.0, approx: None };
+        let ctx = DropContext::new(Compaction::None, 10.0, None);
         assert!(ReactiveOnly.select_drops_fresh(&q, &ctx).is_empty());
     }
 }

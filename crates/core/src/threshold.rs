@@ -93,7 +93,7 @@ impl DropPolicy for ThresholdDropper {
         scratch: &mut PolicyCtx,
     ) -> DropDecision {
         let tasks: Vec<ChainTask<'_>> = queue.chain_tasks();
-        let threshold = self.effective_threshold(ctx.pressure);
+        let threshold = self.effective_threshold(ctx.pressure());
         let mut drops = Vec::new();
         let eval = &mut scratch.eval;
         let mut prev = queue.base();
@@ -117,7 +117,7 @@ mod tests {
     use taskdrop_pmf::Compaction;
 
     fn ctx(pressure: f64) -> DropContext {
-        DropContext { compaction: Compaction::None, pressure, approx: None }
+        DropContext::new(Compaction::None, pressure, None)
     }
 
     #[test]

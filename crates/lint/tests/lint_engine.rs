@@ -249,7 +249,9 @@ fn seeded_violation_fails_a_workspace_run() {
 #[test]
 fn ratchet_regression_fails_a_workspace_run() {
     let two_unwraps = "fn f(a: Option<u8>, b: Option<u8>) -> u8 { a.unwrap() + b.unwrap() }\n";
-    let root = synth_tree("ratchet", &[("crates/serve/src/x.rs", two_unwraps)]);
+    // Not tagged "ratchet": `ratchet_file_roundtrips_and_missing_file_is_empty`
+    // owns (and deletes) that directory, and the two run in parallel.
+    let root = synth_tree("ratchet-regression", &[("crates/serve/src/x.rs", two_unwraps)]);
 
     // Baseline 2: standing debt, passes.
     let ok = run_workspace(&root, &Ratchet::from_counts(&[("panic-unwrap", "serve", 2)])).unwrap();

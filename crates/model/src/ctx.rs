@@ -19,7 +19,11 @@
 //! * a [`TailCache`]: per-machine queue-tail completion PMFs keyed by
 //!   `(queue revision, base PMF, compaction)` and per-(machine, task-type)
 //!   plain `tail ⊛ exec` convolutions keyed by `(tail, exec)`, with
-//!   deterministic hit/miss counters.
+//!   deterministic hit/miss counters;
+//! * a [`VerdictMemo`]: per machine, the key `(queue revision, base PMF)`
+//!   (plus the pressure, if the policy read it) of the last drop decision
+//!   that kept every task, so the engine can skip re-pricing a queue whose
+//!   no-drop verdict still holds.
 //!
 //! # Correctness contract
 //!
@@ -46,10 +50,13 @@ pub struct CacheStats {
     pub conv_hits: u64,
     /// PET×tail convolution lookups that had to convolve.
     pub conv_misses: u64,
+    /// Drop-policy calls skipped because the queue's last no-drop verdict
+    /// still held ([`VerdictMemo`]).
+    pub verdict_hits: u64,
 }
 
 impl CacheStats {
-    /// Total lookups across both caches.
+    /// Total lookups across the tail and conv caches.
     #[must_use]
     pub fn lookups(&self) -> u64 {
         self.tail_hits + self.tail_misses + self.conv_hits + self.conv_misses
@@ -215,6 +222,55 @@ impl TailCache {
     }
 }
 
+/// The key of one machine's last no-drop verdict: every input the policy
+/// read. `pressure` holds the pressure's bits only when the policy read it.
+#[derive(Debug, Clone)]
+struct VerdictKey {
+    rev: u64,
+    base: Pmf,
+    pressure: Option<u64>,
+}
+
+/// Per-machine memo of the last drop decision that kept every task.
+///
+/// A `DropPolicy` decides from the queue view's `base()`, pending list and
+/// PET alone (plus the pressure, when it reads it). The queue revision
+/// covers the pending list, the base PMF covers the running task and the
+/// clock, and the PET is fixed for an engine's lifetime. So when the key
+/// matches, calling the policy again would return the same empty verdict,
+/// and the engine skips it.
+#[derive(Debug, Default, Clone)]
+pub struct VerdictMemo {
+    keys: Vec<Option<VerdictKey>>,
+    hits: u64,
+}
+
+impl VerdictMemo {
+    /// Whether `machine`'s last no-drop verdict still holds for queue
+    /// revision `rev`, predecessor completion `base` and the current
+    /// `pressure`. A hit is counted.
+    pub fn holds(&mut self, machine: usize, rev: u64, base: &Pmf, pressure: f64) -> bool {
+        let hit = self.keys.get(machine).and_then(Option::as_ref).is_some_and(|k| {
+            k.rev == rev
+                && k.pressure.is_none_or(|bits| bits == pressure.to_bits())
+                && k.base == *base
+        });
+        self.hits += u64::from(hit);
+        hit
+    }
+
+    /// Records that the policy kept every task of `machine`'s queue at
+    /// revision `rev` behind `base`; `pressure` is `Some` when the policy
+    /// read it.
+    pub fn record(&mut self, machine: usize, rev: u64, base: Pmf, pressure: Option<f64>) {
+        if self.keys.len() <= machine {
+            self.keys.resize_with(machine + 1, || None);
+        }
+        let pressure = pressure.map(f64::to_bits);
+        self.keys[machine] = Some(VerdictKey { rev, base, pressure });
+    }
+}
+
 /// Long-lived evaluation context threaded through every policy call: the
 /// scratch buffers the policies previously constructed per invocation,
 /// plus the [`TailCache`]. One per engine; see the module docs for the
@@ -236,6 +292,8 @@ pub struct PolicyCtx {
     pub baseline: LazyChain,
     /// The keyed PET×tail cache.
     pub tails: TailCache,
+    /// The no-drop verdict memo.
+    pub verdicts: VerdictMemo,
 }
 
 impl PolicyCtx {
@@ -245,10 +303,10 @@ impl PolicyCtx {
         PolicyCtx::default()
     }
 
-    /// The cache hit/miss counters so far.
+    /// The cache hit/miss counters so far, verdict-memo hits included.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.tails.stats()
+        CacheStats { verdict_hits: self.verdicts.hits, ..self.tails.stats() }
     }
 }
 
@@ -318,9 +376,35 @@ mod tests {
     }
 
     #[test]
+    fn verdict_holds_only_on_full_key_match() {
+        let mut ctx = PolicyCtx::new();
+        let base = Pmf::point(10);
+        assert!(!ctx.verdicts.holds(1, 4, &base, 0.5), "cold memo");
+        ctx.verdicts.record(1, 4, base.clone(), None);
+        assert!(ctx.verdicts.holds(1, 4, &base, 0.5));
+        // A verdict that ignored pressure holds at any pressure.
+        assert!(ctx.verdicts.holds(1, 4, &base, 9.0));
+        // Revision, base or machine drift each miss.
+        assert!(!ctx.verdicts.holds(1, 5, &base, 0.5));
+        assert!(!ctx.verdicts.holds(1, 4, &Pmf::point(11), 0.5));
+        assert!(!ctx.verdicts.holds(0, 4, &base, 0.5));
+        // A verdict that read pressure holds only at that pressure.
+        ctx.verdicts.record(1, 4, base.clone(), Some(0.5));
+        assert!(ctx.verdicts.holds(1, 4, &base, 0.5));
+        assert!(!ctx.verdicts.holds(1, 4, &base, 0.75));
+        assert_eq!(ctx.cache_stats().verdict_hits, 3);
+        assert_eq!(ctx.cache_stats().lookups(), 0, "verdicts are not cache lookups");
+    }
+
+    #[test]
     fn cache_stats_display_is_zero_safe() {
-        let stats =
-            CacheStats { tail_hits: 1_860, tail_misses: 2_087, conv_hits: 3, conv_misses: 1 };
+        let stats = CacheStats {
+            tail_hits: 1_860,
+            tail_misses: 2_087,
+            conv_hits: 3,
+            conv_misses: 1,
+            verdict_hits: 5,
+        };
         assert_eq!(stats.to_string(), "tail 1860/3947 hits (47.1%), conv 3/4 hits (75.0%)");
         assert_eq!(CacheStats::default().to_string(), "tail 0/0 hits (-), conv 0/0 hits (-)");
     }

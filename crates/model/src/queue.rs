@@ -157,10 +157,22 @@ impl ChainEvaluator {
         self.scratch.step(task.exec, task.deadline, compaction)
     }
 
+    /// The chance of success [`ChainEvaluator::step`] would return for
+    /// `task`, without advancing the chain (no sweep, no compaction).
+    pub fn peek(&mut self, task: ChainTask<'_>) -> f64 {
+        self.scratch.peek(task.exec, task.deadline)
+    }
+
     /// The current predecessor completion of the incremental chain.
     #[must_use]
     pub fn completion(&self) -> &[Impulse] {
         self.scratch.completion()
+    }
+
+    /// Copies the current predecessor completion into `out`, reusing its
+    /// allocation.
+    pub fn completion_into(&self, out: &mut Pmf) {
+        self.scratch.completion_into(out);
     }
 
     /// Materialises the current predecessor completion as a [`Pmf`].
@@ -202,7 +214,8 @@ impl ChainEvaluator {
         links
     }
 
-    /// Fused equivalent of [`chance_sum`].
+    /// Fused equivalent of [`chance_sum`]. The last task's completion is
+    /// never read, so its step is a [`ChainEvaluator::peek`].
     pub fn chance_sum(
         &mut self,
         base: &Pmf,
@@ -210,12 +223,16 @@ impl ChainEvaluator {
         take: usize,
         compaction: Compaction,
     ) -> f64 {
+        let Some((&last, init)) = tasks.get(..take.min(tasks.len())).and_then(<[_]>::split_last)
+        else {
+            return 0.0;
+        };
         self.begin(base);
         let mut sum = 0.0;
-        for &t in tasks.iter().take(take) {
+        for &t in init {
             sum += self.step(t, compaction);
         }
-        sum
+        sum + self.peek(last)
     }
 
     /// Fused equivalent of [`chain_with_drops`].
@@ -301,11 +318,15 @@ impl LazyChain {
     pub fn ensure(&mut self, tasks: &[ChainTask<'_>], upto: usize, compaction: Compaction) {
         while self.valid_to < upto {
             let chance = self.eval.step(tasks[self.valid_to], compaction);
-            let link = ChainLink { completion: self.eval.completion_pmf(), chance };
-            if self.valid_to == self.links.len() {
-                self.links.push(link);
-            } else {
-                self.links[self.valid_to] = link;
+            match self.links.get_mut(self.valid_to) {
+                // A stale slot keeps its completion buffer for the new link.
+                Some(link) => {
+                    link.chance = chance;
+                    self.eval.completion_into(&mut link.completion);
+                }
+                None => {
+                    self.links.push(ChainLink { completion: self.eval.completion_pmf(), chance });
+                }
             }
             self.valid_to += 1;
         }

@@ -8,6 +8,7 @@
 
 use crate::queue::ChainTask;
 use crate::{MachineId, MachineTypeId, PetMatrix, TaskId, TaskTypeId};
+use std::cell::Cell;
 use taskdrop_pmf::{Compaction, Pmf, Tick};
 
 /// A pending (queued, not yet running) task in a machine queue.
@@ -109,24 +110,50 @@ impl<'a> QueueView<'a> {
 }
 
 /// Context shared by all queues at one dropping invocation.
-#[derive(Debug, Clone, Copy)]
+///
+/// The oversubscription pressure is read through [`DropContext::pressure`],
+/// which records the read: the engine's no-drop verdict memo (DESIGN.md
+/// §13) keys a verdict on pressure only when the policy that produced it
+/// looked at it.
+#[derive(Debug, Clone)]
 pub struct DropContext {
     /// Compaction policy for chain computations.
     pub compaction: Compaction,
-    /// Oversubscription pressure signal: ratio of unmapped batch-queue tasks
-    /// to total machine-queue capacity (>= 0). Used by the adaptive
-    /// threshold baseline; the paper's autonomous mechanism ignores it.
-    pub pressure: f64,
     /// Approximate-computing parameters, when that extension is enabled.
     pub approx: Option<crate::ApproxSpec>,
+    pressure: f64,
+    pressure_read: Cell<bool>,
 }
 
 impl DropContext {
+    /// Context with the given oversubscription `pressure` (see
+    /// [`DropContext::pressure`]).
+    #[must_use]
+    pub fn new(compaction: Compaction, pressure: f64, approx: Option<crate::ApproxSpec>) -> Self {
+        DropContext { compaction, approx, pressure, pressure_read: Cell::new(false) }
+    }
+
     /// Context without pressure or approximate computing (the common case in
     /// tests and single-queue analyses).
     #[must_use]
     pub fn plain(compaction: Compaction) -> Self {
-        DropContext { compaction, pressure: 0.0, approx: None }
+        DropContext::new(compaction, 0.0, None)
+    }
+
+    /// Oversubscription pressure signal: ratio of unmapped batch-queue tasks
+    /// to total machine-queue capacity (>= 0). Used by the adaptive
+    /// threshold baseline; the paper's autonomous mechanism ignores it.
+    /// Marks the pressure as read.
+    #[must_use]
+    pub fn pressure(&self) -> f64 {
+        self.pressure_read.set(true);
+        self.pressure
+    }
+
+    /// Whether [`DropContext::pressure`] was called since the last call of
+    /// this method, which clears the mark.
+    pub fn take_pressure_read(&self) -> bool {
+        self.pressure_read.take()
     }
 }
 

@@ -287,11 +287,8 @@ proptest! {
             }
             let view = sim.view(&pet);
             for (with_approx, pressure) in [(false, 0.0), (true, 1.5)] {
-                let dctx = DropContext {
-                    compaction,
-                    pressure,
-                    approx: if with_approx { Some(spec) } else { None },
-                };
+                let dctx =
+                    DropContext::new(compaction, pressure, with_approx.then_some(spec));
                 let view = QueueView {
                     approx_pet: if with_approx { Some(&apet) } else { None },
                     ..view.clone()

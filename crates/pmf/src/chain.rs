@@ -11,12 +11,12 @@
 //!
 //! Done naively that is three materialisations per step: a raw pair vector
 //! that gets sorted, a coalesced [`Pmf`], and a compacted clone. The
-//! [`ChainScratch`] here makes one pass instead: raw `(tick, mass)` products
-//! are appended by the same generator as [`crate::deadline_convolve_into`],
-//! accumulated into a reusable **dense tick-indexed buffer** (no sort), the
-//! chance is summed during the sweep, and compaction rebins straight into a
-//! ping-pong output buffer that becomes the next step's predecessor. No
-//! allocation occurs after the buffers reach their steady-state sizes.
+//! [`ChainScratch`] here makes one pass instead: the output support is read
+//! off the sorted inputs in O(1), the Eq (1) products are added straight
+//! into a reusable **dense tick-indexed buffer** (no pair buffer, no sort),
+//! the chance is summed during the sweep, and compaction rebins straight
+//! into a ping-pong output buffer that becomes the next step's predecessor.
+//! No allocation occurs after the buffers reach their steady-state sizes.
 //!
 //! # Determinism contract
 //!
@@ -26,50 +26,139 @@
 //! then ascending execution tick (the order `deadline_convolve_into`
 //! appends). The dense accumulator preserves it by construction, and the
 //! sparse fallback (support span above [`crate::DENSE_SPAN_LIMIT`]) is the
-//! shared [`coalesce`](crate::ops) path, so [`crate::deadline_convolve`]
-//! and every [`ChainScratch`] method produce **bit-identical** results —
-//! `tests/` in `taskdrop_model` enforce this against the naive chain.
+//! shared [`coalesce`](crate::ops) path over the generated pairs, so
+//! [`crate::deadline_convolve`] and every [`ChainScratch`] method produce
+//! **bit-identical** results — `tests/` in `taskdrop_model` enforce this
+//! against the naive chain, and this module's proptest pins the kernel
+//! against the pair-path reference.
 
 use crate::compact::Compaction;
-use crate::ops::{coalesce_into, product_capacity, DENSE_SPAN_LIMIT};
+use crate::ops::{coalesce_into, DENSE_SPAN_LIMIT};
 use crate::pmf::{Impulse, Pmf};
 use crate::Tick;
 
-/// Accumulates raw `(tick, mass)` products into coalesced, sorted impulses.
-///
-/// Chooses the same dense/sparse split as [`Pmf::convolve`]: when the
-/// support span fits [`DENSE_SPAN_LIMIT`], products are scattered into a
-/// zeroed tick-indexed buffer (`O(span + pairs)`, no sort) which preserves
-/// generation order for colliding ticks; otherwise the pairs are sorted and
-/// merged (the pre-existing sparse path). `pairs` is consumed (left empty),
-/// `out` receives the result.
-pub(crate) fn accumulate(pairs: &mut Vec<(Tick, f64)>, acc: &mut Vec<f64>, out: &mut Vec<Impulse>) {
-    out.clear();
-    let Some(&(first_t, _)) = pairs.first() else {
-        return;
-    };
-    let mut lo = first_t;
-    let mut hi = first_t;
-    for &(t, _) in pairs.iter() {
-        lo = lo.min(t);
-        hi = hi.max(t);
-    }
-    let span = hi - lo + 1;
-    if span <= DENSE_SPAN_LIMIT {
+/// Where one Eq (1) kernel call left its raw result.
+#[derive(Debug, Clone, Copy)]
+enum Raw {
+    /// In the dense accumulator: cell `k` holds the mass at tick `lo + k`.
+    Dense { lo: Tick },
+    /// Already coalesced into the impulse buffer (a span above
+    /// [`DENSE_SPAN_LIMIT`], or an empty result).
+    Coalesced,
+}
+
+/// The Eq (1) kernel every entry point shares, with its work buffers: the
+/// sparse fallback's product pairs, the dense accumulator and the
+/// uncompacted result.
+#[derive(Debug, Default, Clone)]
+struct Kernel {
+    pairs: Vec<(Tick, f64)>,
+    acc: Vec<f64>,
+    raw: Vec<Impulse>,
+}
+
+impl Kernel {
+    /// `prev ⊛ exec` under `deadline`.
+    ///
+    /// The output support comes from the sorted inputs in O(1). With
+    /// `split` the first predecessor tick at or past the deadline, products
+    /// cover `prev[0].t + exec[0].t ..= prev[split-1].t + exec.last.t` and
+    /// pass-through mass covers `prev[split].t ..= prev.last.t`. When that
+    /// span fits [`DENSE_SPAN_LIMIT`] — the same choice [`Pmf::convolve`]
+    /// makes — products and pass-through masses are added straight into the
+    /// zeroed accumulator in generation order. Otherwise the
+    /// generation-order pairs go through the sort-based coalesce into `raw`.
+    fn scatter(&mut self, prev: &[Impulse], exec: &[Impulse], deadline: Tick) -> Raw {
+        let (on_time, late) = prev.split_at(prev.partition_point(|i| i.t < deadline));
+        let products = match (on_time.first(), on_time.last(), exec.first(), exec.last()) {
+            (Some(p0), Some(pn), Some(e0), Some(en)) => Some((p0.t + e0.t, pn.t + en.t)),
+            _ => None,
+        };
+        let passed = late.first().zip(late.last()).map(|(a, b)| (a.t, b.t));
+        let (lo, hi) = match (products, passed) {
+            (Some((a, b)), Some((c, d))) => (a.min(c), b.max(d)),
+            (Some(range), None) | (None, Some(range)) => range,
+            (None, None) => {
+                self.raw.clear();
+                return Raw::Coalesced;
+            }
+        };
+        let span = hi - lo + 1;
+        if span > DENSE_SPAN_LIMIT {
+            push_products(prev, exec, deadline, &mut self.pairs);
+            coalesce_into(&mut self.pairs, &mut self.raw);
+            return Raw::Coalesced;
+        }
+        let acc = &mut self.acc;
         acc.clear();
         acc.resize(span as usize, 0.0);
-        for &(t, p) in pairs.iter() {
-            acc[(t - lo) as usize] += p;
-        }
-        for (off, &p) in acc.iter().enumerate() {
-            if p > 0.0 {
-                out.push(Impulse { t: lo + off as Tick, p });
+        for pi in on_time {
+            // Task starts at pi.t; completion = start + execution time.
+            for ei in exec {
+                acc[(pi.t + ei.t - lo) as usize] += pi.p * ei.p;
             }
         }
-        pairs.clear();
-    } else {
-        coalesce_into(pairs, out);
+        for pi in late {
+            // Reactive drop: machine is free at the predecessor's completion.
+            // `lo <= pi.t <= hi`, so the cell always exists.
+            if let Some(cell) = acc.get_mut((pi.t - lo) as usize) {
+                *cell += pi.p;
+            }
+        }
+        Raw::Dense { lo }
     }
+
+    /// Eq (1) into `raw` plus the Eq (2) chance.
+    fn convolve_chance(&mut self, prev: &[Impulse], exec: &[Impulse], deadline: Tick) -> f64 {
+        match self.scatter(prev, exec, deadline) {
+            Raw::Dense { lo } => sweep(&self.acc, lo, deadline, &mut self.raw),
+            Raw::Coalesced => chance_before(&self.raw, deadline),
+        }
+    }
+
+    /// The Eq (2) chance of `prev ⊛ exec` alone: the raw result is never
+    /// swept on the dense path.
+    fn chance_only(&mut self, prev: &[Impulse], exec: &[Impulse], deadline: Tick) -> f64 {
+        match self.scatter(prev, exec, deadline) {
+            Raw::Dense { lo } => dense_chance(&self.acc, lo, deadline),
+            Raw::Coalesced => chance_before(&self.raw, deadline),
+        }
+    }
+}
+
+/// Accumulator cells strictly before `deadline`.
+fn cells_before(acc: &[f64], lo: Tick, deadline: Tick) -> usize {
+    usize::try_from(deadline.saturating_sub(lo)).map_or(acc.len(), |cut| cut.min(acc.len()))
+}
+
+/// Sweeps the dense accumulator into `raw` (positive cells, ascending tick)
+/// and returns the Eq (2) chance summed on the way — the same additions, in
+/// the same order, as [`chance_before`] on the swept impulses.
+fn sweep(acc: &[f64], lo: Tick, deadline: Tick, raw: &mut Vec<Impulse>) -> f64 {
+    raw.clear();
+    let (early, late) = acc.split_at(cells_before(acc, lo, deadline));
+    let mut chance = 0.0f64;
+    for (off, &p) in early.iter().enumerate() {
+        if p > 0.0 {
+            chance += p;
+            raw.push(Impulse { t: lo + off as Tick, p });
+        }
+    }
+    let late_lo = lo + early.len() as Tick;
+    for (off, &p) in late.iter().enumerate() {
+        if p > 0.0 {
+            raw.push(Impulse { t: late_lo + off as Tick, p });
+        }
+    }
+    chance
+}
+
+/// [`sweep`]'s chance without materialising any impulse.
+fn dense_chance(acc: &[f64], lo: Tick, deadline: Tick) -> f64 {
+    acc.iter()
+        .take(cells_before(acc, lo, deadline))
+        .filter(|&&p| p > 0.0)
+        .fold(0.0f64, |sum, &p| sum + p)
 }
 
 /// Sum of impulse masses strictly before `deadline`, in ascending tick
@@ -86,8 +175,8 @@ fn chance_before(raw: &[Impulse], deadline: Tick) -> f64 {
 }
 
 /// Appends the raw Eq (1) products of `prev ⊛ exec` under `deadline` into
-/// `out` (cleared first); slice-level twin of
-/// [`crate::deadline_convolve_into`].
+/// `out` (cleared first), in generation order; slice-level twin of
+/// [`crate::deadline_convolve_into`] and the sparse fallback's generator.
 pub(crate) fn push_products(
     prev: &[Impulse],
     exec: &[Impulse],
@@ -110,22 +199,19 @@ pub(crate) fn push_products(
 
 /// Reusable scratch buffers for fused chain stepping.
 ///
-/// Owns five buffers: the raw product pairs, the dense accumulator, the
-/// uncompacted result, and a ping-pong pair (`cur`/`next`) holding the
-/// current and upcoming predecessor completion. All buffers are cleared and
-/// refilled per step but never shrink, so a steady-state chain evaluation
-/// performs no heap allocation.
+/// Owns the kernel's work buffers and a ping-pong pair (`cur`/`next`)
+/// holding the current and upcoming predecessor completion. All buffers are
+/// cleared and refilled per step but never shrink, so a steady-state chain
+/// evaluation performs no heap allocation.
 ///
 /// Ownership rule: `cur` (exposed via [`ChainScratch::completion`]) is only
 /// valid between [`ChainScratch::begin`]/[`ChainScratch::step`] calls; the
 /// one-shot helpers ([`ChainScratch::step_pmf`], [`ChainScratch::chance_of`])
-/// clobber the internal work buffers but leave `cur` untouched, so they can
-/// be interleaved with an in-progress chain.
+/// and [`ChainScratch::peek`] clobber the internal work buffers but leave
+/// `cur` untouched, so they can be interleaved with an in-progress chain.
 #[derive(Debug, Default, Clone)]
 pub struct ChainScratch {
-    pairs: Vec<(Tick, f64)>,
-    acc: Vec<f64>,
-    raw: Vec<Impulse>,
+    kernel: Kernel,
     cur: Vec<Impulse>,
     next: Vec<Impulse>,
 }
@@ -147,13 +233,17 @@ impl ChainScratch {
     /// predecessor, Eq (2) on the raw result, compaction into the new
     /// predecessor. Returns the chance of success.
     pub fn step(&mut self, exec: &Pmf, deadline: Tick, compaction: Compaction) -> f64 {
-        let ChainScratch { pairs, acc, raw, cur, next } = self;
-        push_products(cur, &exec.impulses, deadline, pairs);
-        accumulate(pairs, acc, raw);
-        let chance = chance_before(raw, deadline);
-        compaction.apply_into(raw, next);
-        std::mem::swap(cur, next);
+        let chance = self.kernel.convolve_chance(&self.cur, &exec.impulses, deadline);
+        compaction.apply_into(&self.kernel.raw, &mut self.next);
+        std::mem::swap(&mut self.cur, &mut self.next);
         chance
+    }
+
+    /// The chance of success one more [`ChainScratch::step`] would return,
+    /// without advancing the chain: the last step of a chain whose final
+    /// completion is never read needs neither a sweep nor compaction.
+    pub fn peek(&mut self, exec: &Pmf, deadline: Tick) -> f64 {
+        self.kernel.chance_only(&self.cur, &exec.impulses, deadline)
     }
 
     /// The current (compacted) predecessor completion.
@@ -168,6 +258,13 @@ impl ChainScratch {
         Pmf::from_sorted_unchecked(self.cur.clone())
     }
 
+    /// Copies the current predecessor completion into `out`, reusing its
+    /// allocation.
+    pub fn completion_into(&self, out: &mut Pmf) {
+        out.impulses.clear();
+        out.impulses.extend_from_slice(&self.cur);
+    }
+
     /// One-shot fused step from an arbitrary predecessor: returns the
     /// chance of success and the compacted completion, without touching the
     /// chain state set up by [`ChainScratch::begin`]. Bit-identical to
@@ -180,22 +277,16 @@ impl ChainScratch {
         deadline: Tick,
         compaction: Compaction,
     ) -> (f64, Pmf) {
-        let ChainScratch { pairs, acc, raw, next, .. } = self;
-        push_products(&prev.impulses, &exec.impulses, deadline, pairs);
-        accumulate(pairs, acc, raw);
-        let chance = chance_before(raw, deadline);
-        compaction.apply_into(raw, next);
-        (chance, Pmf::from_sorted_unchecked(next.clone()))
+        let chance = self.kernel.convolve_chance(&prev.impulses, &exec.impulses, deadline);
+        compaction.apply_into(&self.kernel.raw, &mut self.next);
+        (chance, Pmf::from_sorted_unchecked(self.next.clone()))
     }
 
     /// Chance of success of `prev ⊛ exec` under `deadline` (Eq 1 + Eq 2)
     /// without materialising the completion at all — the admission gate's
     /// and the optimal search's bound primitive.
     pub fn chance_of(&mut self, prev: &Pmf, exec: &Pmf, deadline: Tick) -> f64 {
-        let ChainScratch { pairs, acc, raw, .. } = self;
-        push_products(&prev.impulses, &exec.impulses, deadline, pairs);
-        accumulate(pairs, acc, raw);
-        chance_before(raw, deadline)
+        self.kernel.chance_only(&prev.impulses, &exec.impulses, deadline)
     }
 }
 
@@ -203,15 +294,10 @@ impl ChainScratch {
 /// This is the body of [`crate::deadline_convolve`]; it lives here so the
 /// naive entry point and [`ChainScratch`] cannot drift apart.
 pub(crate) fn deadline_convolve_impl(prev: &Pmf, exec: &Pmf, deadline: Tick) -> Pmf {
-    let mut pairs: Vec<(Tick, f64)> =
-        Vec::with_capacity(product_capacity(prev.len(), exec.len().max(1)));
-    push_products(&prev.impulses, &exec.impulses, deadline, &mut pairs);
-    let mut acc = Vec::new();
-    let mut raw = Vec::new();
-    accumulate(&mut pairs, &mut acc, &mut raw);
-    Pmf::from_sorted_unchecked(raw)
+    let mut kernel = Kernel::default();
+    kernel.convolve_chance(&prev.impulses, &exec.impulses, deadline);
+    Pmf::from_sorted_unchecked(kernel.raw)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,6 +376,97 @@ mod tests {
         let raw = deadline_convolve(&prev, &exec, 150_000);
         assert_eq!(bits(&raw), bits(&fused));
         assert_eq!(chance.to_bits(), raw.mass_before(150_000).to_bits());
+    }
+
+    /// The pair-path reference the fused kernel replaced: generate every
+    /// `(tick, mass)` pair, take the bounds by scanning them, then scatter
+    /// them (dense) or sort-merge them (sparse).
+    fn pair_path(prev: &Pmf, exec: &Pmf, deadline: Tick) -> Vec<Impulse> {
+        let mut pairs = Vec::new();
+        push_products(&prev.impulses, &exec.impulses, deadline, &mut pairs);
+        let mut out = Vec::new();
+        let Some(lo) = pairs.iter().map(|&(t, _)| t).min() else {
+            return out;
+        };
+        let hi = pairs.iter().map(|&(t, _)| t).max().unwrap_or(lo);
+        if hi - lo + 1 > DENSE_SPAN_LIMIT {
+            coalesce_into(&mut pairs, &mut out);
+            return out;
+        }
+        let mut acc = vec![0.0f64; (hi - lo + 1) as usize];
+        for &(t, p) in &pairs {
+            acc[(t - lo) as usize] += p;
+        }
+        for (off, &p) in acc.iter().enumerate() {
+            if p > 0.0 {
+                out.push(Impulse { t: lo + off as Tick, p });
+            }
+        }
+        out
+    }
+
+    fn impulse_bits(raw: &[Impulse]) -> Vec<(Tick, u64)> {
+        raw.iter().map(|i| (i.t, i.p.to_bits())).collect()
+    }
+
+    /// A normalised PMF on distinct ticks `lo + k * stride`; no weights
+    /// give the empty PMF.
+    fn pmf_on(lo: Tick, stride: Tick, weights: &[u32]) -> Pmf {
+        let pairs = weights.iter().enumerate().map(|(k, &w)| (lo + k as Tick * stride, w as f64));
+        Pmf::from_weights(pairs.collect()).expect("positive weights")
+    }
+
+    proptest::proptest! {
+        /// The fused kernel equals the pair path bit for bit, through every
+        /// entry point: pass-through ticks below the first product tick,
+        /// `exec` starting past tick 0 or empty, all mass past the deadline,
+        /// and spans on both sides of `DENSE_SPAN_LIMIT`.
+        #[test]
+        fn fused_kernel_matches_pair_path_bitwise(
+            prev_lo in 0u64..400,
+            prev_stride in 1u64..40,
+            prev_w in proptest::collection::vec(1u32..1000, 1..12),
+            exec_lo in 0u64..300,
+            exec_stride in 1u64..30,
+            exec_w in proptest::collection::vec(1u32..1000, 0..8),
+            wide in 0u8..3,
+            deadline_off in 0u64..900,
+        ) {
+            // `wide` stretches exec past the dense span limit (1) or to
+            // just under it (2).
+            let exec_stride = match wide {
+                1 => DENSE_SPAN_LIMIT / 4 + exec_stride,
+                2 => (DENSE_SPAN_LIMIT - 1_000) / 8,
+                _ => exec_stride,
+            };
+            let prev = pmf_on(prev_lo, prev_stride, &prev_w);
+            let exec = pmf_on(exec_lo, exec_stride, &exec_w);
+            // Deadlines below, inside and beyond the predecessor's support.
+            let deadline = prev_lo.saturating_sub(50) + deadline_off;
+            let reference = pair_path(&prev, &exec, deadline);
+            let chance = chance_before(&reference, deadline);
+
+            let fused = deadline_convolve_impl(&prev, &exec, deadline);
+            proptest::prop_assert_eq!(impulse_bits(&reference), impulse_bits(&fused.impulses));
+            let mut scratch = ChainScratch::new();
+            proptest::prop_assert_eq!(
+                scratch.chance_of(&prev, &exec, deadline).to_bits(),
+                chance.to_bits()
+            );
+            for compaction in [Compaction::None, Compaction::MaxImpulses(4)] {
+                let (c, out) = scratch.step_pmf(&prev, &exec, deadline, compaction);
+                proptest::prop_assert_eq!(c.to_bits(), chance.to_bits());
+                let want = compaction.apply(&Pmf::from_sorted_unchecked(reference.clone()));
+                proptest::prop_assert_eq!(bits(&want), bits(&out));
+                scratch.begin(&prev);
+                proptest::prop_assert_eq!(scratch.peek(&exec, deadline).to_bits(), chance.to_bits());
+                proptest::prop_assert_eq!(
+                    scratch.step(&exec, deadline, compaction).to_bits(),
+                    chance.to_bits()
+                );
+                proptest::prop_assert_eq!(bits(&want), bits(&scratch.completion_pmf()));
+            }
+        }
     }
 
     #[test]

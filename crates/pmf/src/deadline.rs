@@ -56,11 +56,11 @@ pub fn deadline_convolve(prev: &Pmf, exec: &Pmf, deadline: Tick) -> Pmf {
 
 /// Variant of [`deadline_convolve`] that appends the raw `(tick, mass)`
 /// products into `out` (cleared first) so callers can reuse the allocation
-/// and control the accumulation themselves. This is the product generator
-/// behind both [`deadline_convolve`] and the fused chain kernel
-/// ([`crate::ChainScratch`]); the append order (ascending predecessor tick,
-/// then ascending execution tick) is the canonical summation order of the
-/// determinism contract.
+/// and control the accumulation themselves. The append order (ascending
+/// predecessor tick, then ascending execution tick) is the canonical
+/// summation order of the determinism contract: the fused kernel behind
+/// [`deadline_convolve`] and [`crate::ChainScratch`] adds its dense products
+/// in exactly this order, and its sparse fallback coalesces these pairs.
 pub fn deadline_convolve_into(prev: &Pmf, exec: &Pmf, deadline: Tick, out: &mut Vec<(Tick, f64)>) {
     crate::chain::push_products(&prev.impulses, &exec.impulses, deadline, out);
 }

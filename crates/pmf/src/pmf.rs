@@ -26,11 +26,23 @@ pub struct Impulse {
 /// Total mass *may* be below 1: conditioning and pruning produce
 /// sub-distributions. The empty PMF (zero mass) is allowed and behaves as the
 /// absorbing element of convolution.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[cfg_attr(feature = "serde", serde(try_from = "Vec<(Tick, Prob)>", into = "Vec<(Tick, Prob)>"))]
 pub struct Pmf {
     pub(crate) impulses: Vec<Impulse>,
+}
+
+/// `clone_from` reuses the target's impulse buffer, so hot loops that
+/// overwrite one PMF with another allocate only when it must grow.
+impl Clone for Pmf {
+    fn clone(&self) -> Self {
+        Pmf { impulses: self.impulses.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.impulses.clone_from(&source.impulses);
+    }
 }
 
 impl Pmf {

@@ -1044,40 +1044,41 @@ impl<'a, H: ObserverHub> SimCore<'a, H> {
             keep
         });
 
-        // (2) Proactive dropping policy, queue by queue.
+        // (2) Proactive dropping policy, queue by queue. A queue whose last
+        // verdict kept every task is skipped while that verdict's inputs
+        // are unchanged (the verdict memo, DESIGN.md §13).
         let capacity = scenario.capacity(config.queue_size);
-        let drop_ctx = DropContext {
-            compaction: config.compaction,
-            pressure: batch.len() as f64 / capacity as f64,
-            approx: config.approx,
-        };
+        let pressure = batch.len() as f64 / capacity as f64;
+        let drop_ctx = DropContext::new(config.compaction, pressure, config.approx);
         for m in machines.iter_mut() {
             if m.pending.is_empty() {
                 continue;
             }
-            let view = QueueView {
-                machine: m.machine.id,
-                machine_type: m.machine.type_id,
-                now,
-                running: running_view(pet, now, m, config),
-                pending: m
-                    .pending
-                    .iter()
-                    .map(|qt| PendingView {
-                        id: qt.task.id,
-                        type_id: qt.task.type_id,
-                        deadline: qt.task.deadline,
-                        degraded: qt.degraded,
-                    })
-                    .collect(),
-                pet,
-                approx_pet,
-            };
-            let decision = dropper.select_drops(&view, &drop_ctx, ctx);
-            if !decision.is_empty() {
-                // Drops and degrades both change what a tail chain sees.
-                m.queue_rev += 1;
+            let running = running_view(pet, now, m, config);
+            let base = running.as_ref().map_or_else(|| Pmf::point(now), |r| r.completion.clone());
+            let slot = m.machine.id.index();
+            if ctx.verdicts.holds(slot, m.queue_rev, &base, pressure) {
+                if cfg!(debug_assertions) {
+                    let view = queue_view(pet, approx_pet, now, m, running);
+                    let fresh = dropper.select_drops(&view, &drop_ctx, &mut PolicyCtx::new());
+                    drop_ctx.take_pressure_read();
+                    debug_assert!(
+                        fresh.is_empty(),
+                        "verdict memo skipped {} but the policy now decides {fresh:?}",
+                        m.machine.id
+                    );
+                }
+                continue;
             }
+            let view = queue_view(pet, approx_pet, now, m, running);
+            let decision = dropper.select_drops(&view, &drop_ctx, ctx);
+            let read_pressure = drop_ctx.take_pressure_read();
+            if decision.is_empty() {
+                ctx.verdicts.record(slot, m.queue_rev, base, read_pressure.then_some(pressure));
+                continue;
+            }
+            // Drops and degrades both change what a tail chain sees.
+            m.queue_rev += 1;
             let mut last: Option<usize> = None;
             for &idx in &decision.drops {
                 assert!(idx < m.pending.len(), "dropper returned out-of-range index");
@@ -1528,6 +1529,35 @@ fn running_view(
     })
 }
 
+/// The view a drop policy prices for machine `m`, whose running task (if
+/// any) is `running`.
+fn queue_view<'a>(
+    pet: &'a PetMatrix,
+    approx_pet: Option<&'a PetMatrix>,
+    now: Tick,
+    m: &MachineSt,
+    running: Option<RunningView>,
+) -> QueueView<'a> {
+    QueueView {
+        machine: m.machine.id,
+        machine_type: m.machine.type_id,
+        now,
+        running,
+        pending: m
+            .pending
+            .iter()
+            .map(|qt| PendingView {
+                id: qt.task.id,
+                type_id: qt.task.type_id,
+                deadline: qt.task.deadline,
+                degraded: qt.degraded,
+            })
+            .collect(),
+        pet,
+        approx_pet,
+    }
+}
+
 /// The clamp only applies while the kill can still fire (deadline ahead).
 fn self_kill_applies(config: SimConfig, r: &RunningTask, now: Tick) -> bool {
     config.kill_running_at_deadline && r.task.deadline > now
@@ -1581,7 +1611,8 @@ fn queue_tail(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskdrop_core::{ProactiveDropper, ReactiveOnly};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use taskdrop_core::{DropDecision, ProactiveDropper, ReactiveOnly, ThresholdDropper};
     use taskdrop_sched::Pam;
     use taskdrop_workload::OversubscriptionLevel;
 
@@ -1862,5 +1893,85 @@ mod tests {
         let r = core.run_to_completion();
         assert_eq!(r.total_tasks, 2);
         assert!(r.is_conserved());
+    }
+
+    /// Forwards every call to `inner`, counting them — the shape of a
+    /// timing or tracing wrapper.
+    struct Forwarding<'a> {
+        inner: &'a dyn DropPolicy,
+        calls: AtomicU64,
+    }
+
+    impl DropPolicy for Forwarding<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn select_drops(
+            &self,
+            queue: &QueueView<'_>,
+            ctx: &DropContext,
+            scratch: &mut PolicyCtx,
+        ) -> DropDecision {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.select_drops(queue, ctx, scratch)
+        }
+    }
+
+    #[test]
+    fn forwarding_wrapper_skips_exactly_what_the_bare_policy_skips() {
+        let s = scenario();
+        let w = workload(&s, 300, 2_000);
+        let heuristic = ProactiveDropper::paper_default();
+        let threshold = ThresholdDropper::paper_default();
+        for bare in [&heuristic as &dyn DropPolicy, &threshold] {
+            let mut plain = SimCore::new(&s, &w, &Pam, bare, cfg(), 1).unwrap();
+            let wrapper = Forwarding { inner: bare, calls: AtomicU64::new(0) };
+            let mut wrapped = SimCore::new(&s, &w, &Pam, &wrapper, cfg(), 1).unwrap();
+            assert_eq!(plain.run_to_completion(), wrapped.run_to_completion());
+            let stats = plain.cache_stats();
+            assert_eq!(stats, wrapped.cache_stats(), "{}", bare.name());
+            assert!(stats.verdict_hits > 0, "{}: the memo never fired", bare.name());
+            assert!(wrapper.calls.load(Ordering::Relaxed) > 0);
+        }
+    }
+
+    fn queue_revs(core: &SimCore<'_>) -> Vec<u64> {
+        core.machines.iter().map(|m| m.queue_rev).collect()
+    }
+
+    /// Settles a mid-trial core (re-runs the mapping event at the current
+    /// tick until no queue changes), then injects one task at the current
+    /// tick: its arrival changes the pressure and nothing else a drop
+    /// policy sees. Returns how many queues the arrival's mapping event
+    /// skipped, and how many were non-empty.
+    fn skips_after_pressure_change(dropper: &dyn DropPolicy) -> (u64, u64) {
+        let s = scenario();
+        let w = workload(&s, 400, 2_000);
+        let mut core = SimCore::new(&s, &w, &Pam, dropper, cfg(), 1).unwrap();
+        core.run_until(1_000);
+        loop {
+            let revs = queue_revs(&core);
+            core.mapping_event();
+            if queue_revs(&core) == revs {
+                break;
+            }
+        }
+        let busy = core.machines.iter().filter(|m| !m.pending.is_empty()).count() as u64;
+        let hits = core.cache_stats().verdict_hits;
+        let now = core.now();
+        core.inject(TaskTypeId(0), now, now + 1_000).unwrap();
+        core.step();
+        assert_eq!(core.now(), now, "the arrival is the only event at this tick");
+        (core.cache_stats().verdict_hits - hits, busy)
+    }
+
+    #[test]
+    fn threshold_is_priced_again_when_pressure_changes() {
+        let (skipped, busy) = skips_after_pressure_change(&ThresholdDropper::paper_default());
+        assert!(busy > 0);
+        assert_eq!(skipped, 0, "a verdict that read pressure must not outlive it");
+        let (skipped, busy) = skips_after_pressure_change(&ProactiveDropper::paper_default());
+        assert_eq!(skipped, busy, "a pressure-blind verdict survives a pressure change");
     }
 }
